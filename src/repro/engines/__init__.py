@@ -5,8 +5,9 @@
 - :class:`~repro.engines.threaded.ThreadedEngine` runs real filters with
   threads in this process (correctness runs, examples);
 - :class:`~repro.engines.process.ProcessEngine` runs real filters with one
-  process per copy (actual parallelism on multicore hosts);
-- :class:`~repro.engines.pool.WarmPool` keeps process-engine copies alive
+  process per copy (actual parallelism on multicore hosts) as a one-shot
+  warm pool: it opens the process copy runtime for one batch and closes it;
+- :class:`~repro.engines.pool.WarmPool` keeps that same runtime open
   between runs, serving units of work as they arrive (``repro serve``).
 """
 

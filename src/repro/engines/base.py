@@ -28,7 +28,9 @@ class Engine(ABC):
     experiment), :class:`repro.engines.threaded.ThreadedEngine` (real
     filters, one thread per copy — correctness baseline) and
     :class:`repro.engines.process.ProcessEngine` (real filters, one process
-    per copy — actual parallelism on multicore hosts).
+    per copy — actual parallelism on multicore hosts).  The process engine
+    and :class:`repro.engines.pool.WarmPool` share one process copy
+    runtime: the engine opens it for one batch, the pool keeps it open.
     """
 
     @abstractmethod

@@ -1,16 +1,22 @@
 """Process-parallel execution engine: real filters, one process per copy.
 
-Each transparent copy becomes a worker in a ``multiprocessing`` pool-of-one
-(one ``Process`` per copy), so filter compute runs genuinely in parallel on
-multicore hosts — the paper's transparent-copy speedups become measurable
-instead of GIL-serialised (contrast :class:`repro.engines.threaded.
-ThreadedEngine`, which keeps the same protocol but shares one interpreter).
+Each transparent copy becomes one OS process, so filter compute runs
+genuinely in parallel on multicore hosts — the paper's transparent-copy
+speedups become measurable instead of GIL-serialised (contrast
+:class:`repro.engines.threaded.ThreadedEngine`, which keeps the same
+protocol but shares one interpreter).
 
-Structure mirrors the threaded engine exactly:
+There is one process runtime: :class:`ProcessEngine` is a *one-shot warm
+pool*.  ``run_cycles(uows)`` opens the pool runtime of
+:mod:`repro.engines.pool` with one slot per unit of work, submits every
+unit, collects the per-cycle metrics and closes the pool before returning;
+:class:`~repro.engines.pool.WarmPool` keeps the same runtime open across
+queries.  This module holds the per-cycle protocol the runtime's workers
+execute, mirroring the threaded engine:
 
 - **copy-set queues** are bounded ``multiprocessing.Queue`` objects shared
   by all copies of a filter on one "host"; end-of-work markers are counted
-  in a cross-process shared counter and fan out one ``STOP`` per copy;
+  once per producer in shared memory and fan out one ``STOP`` per copy;
 - **writer policies** (RR / WRR / DD / RATE) run unchanged inside each
   producer process; DD/RATE acknowledgments travel *back* over a per-copy
   control queue (``multiprocessing.SimpleQueue``) and are applied by an
@@ -23,9 +29,18 @@ Structure mirrors the threaded engine exactly:
   soups and z-buffer slabs never serialise through a pipe;
 - **observability** feeds the same :class:`~repro.core.tracing.Tracer` /
   :class:`~repro.core.instrument.RunMetrics` layer: every worker records
-  events and counters locally and ships them to the parent at end-of-work,
-  where they merge into one run-relative wall-clock trace — ``repro trace``
-  and ``RunMetrics.validate`` work unchanged.
+  events and counters per cycle and ships them to the parent, where they
+  merge into one wall-clock trace — ``repro trace`` and
+  ``RunMetrics.validate`` work unchanged.
+
+Crash contract: when a worker dies, the surviving copies finish their
+in-flight cycles (the runtime announces end-of-work on the dead copy's
+behalf and acks-and-releases traffic aimed at copy sets with no live
+member), each such cycle fails with the dead copy's "exit code N" error,
+and only then does the pool retire its survivors — no shared-memory
+segment or process outlives it.  If the survivors stop reporting for the
+runtime's recovery limit (10 s), they are terminated and the in-flight
+cycles fail the same way.
 
 The engine needs the ``fork`` start method (the default): filter factories
 are typically closures over datasets and cameras, which fork inherits for
@@ -41,15 +56,15 @@ retain payload data must copy it.
 from __future__ import annotations
 
 import multiprocessing
-import multiprocessing.connection
-import queue as queue_mod
+import os
+import signal
 import threading
 import time
 import traceback
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.buffer import BufferCodec, DataBuffer
+from repro.core.buffer import BufferCodec, DataBuffer, EncodedBuffer
 from repro.core.filter import Filter, FilterContext
 from repro.core.graph import FilterGraph
 from repro.core.instrument import DEFAULT_ACK_BYTES, RunMetrics
@@ -66,6 +81,22 @@ __all__ = ["ProcessEngine"]
 _STOP = "__repro_eow_stop__"
 _EOW = "__repro_eow_marker__"
 
+#: Envelopes this process has encoded but not yet queued, by ``id``.
+_IN_HAND: "dict[int, EncodedBuffer]" = {}
+
+
+def _release_in_hand_and_die(signum, _frame) -> None:
+    """Worker SIGTERM handler: free unqueued envelopes, then die of it.
+
+    A producer terminated while blocked on a full queue or DD window holds
+    an encoded envelope no consumer will see; its segments would outlive
+    the process.
+    """
+    for encoded in list(_IN_HAND.values()):
+        BufferCodec.release_encoded(encoded)
+    signal.signal(signum, signal.SIG_DFL)
+    os.kill(os.getpid(), signum)
+
 
 class _SharedCopySetQueue:
     """Bounded cross-process queue for all copies of a filter on one host.
@@ -74,37 +105,41 @@ class _SharedCopySetQueue:
     item to a feeder thread asynchronously, so an out-of-band announcement
     (a bare shared counter, as the threaded engine uses) could overtake the
     announcing producer's still-in-flight data and lose buffers.  Instead
-    each finishing producer enqueues one ``_EOW`` marker behind its own
-    data (per-producer FIFO holds), consumers count markers in a shared
-    counter, and the consumer that pulls the final marker — at which point
-    every producer's data has necessarily been pulled — fans one ``_STOP``
-    out to each sibling copy and stops itself.
+    each finishing producer enqueues one ``(_EOW, cid)`` marker behind its
+    own data (per-producer FIFO holds), consumers count distinct producers
+    in shared memory, and the consumer that pulls the final marker — at
+    which point every producer's data has necessarily been pulled — fans
+    one ``_STOP`` out to each sibling copy and stops itself.
     """
 
-    def __init__(self, mp_ctx, copies: int, expected_eow: int, capacity: int):
+    def __init__(self, mp_ctx, copies: int, expected_eow: int, capacity: int,
+                 producers: int):
         self.queue = mp_ctx.Queue(maxsize=capacity)
         self.copies = copies
         self.expected_eow = expected_eow
         self._eow_seen = mp_ctx.Value("i", 0, lock=False)
+        self._eow_from = mp_ctx.Array("b", producers, lock=False)  # by cid
         self._lock = mp_ctx.Lock()
 
     def put(self, item: Any) -> None:
         """Enqueue one item (blocks when the queue is full)."""
         self.queue.put(item)
 
-    def producer_finished(self) -> None:
-        """Announce this producer's end-of-work, behind all its data."""
-        self.queue.put(_EOW)
+    def producer_finished(self, cid: int) -> None:
+        """Announce producer ``cid``'s end-of-work, behind all its data."""
+        self.queue.put((_EOW, cid))
 
-    def on_eow(self) -> bool:
+    def on_eow(self, cid: int) -> bool:
         """Count one pulled marker; True when this was the final one.
 
-        Surplus markers (the parent re-announcing on behalf of a crashed
-        producer that had in fact announced) are ignored.
+        A second marker from the same producer (the parent announcing on
+        behalf of a crashed copy that had in fact announced) is ignored,
+        so it can never stand in for a slower sibling's.
         """
         with self._lock:
-            if self._eow_seen.value >= self.expected_eow:
+            if self._eow_from[cid]:
                 return False
+            self._eow_from[cid] = 1
             self._eow_seen.value += 1
             return self._eow_seen.value == self.expected_eow
 
@@ -117,11 +152,13 @@ class _SharedCopySetQueue:
         """Rearm the end-of-work counter for a new unit of work.
 
         Only valid once the previous cycle has fully drained (every copy
-        pulled its ``STOP`` or the final marker) — the warm pool recycles
-        each slot's queues this way instead of allocating per cycle.
+        pulled its ``STOP`` or the final marker) — the pool runtime
+        recycles each slot's queues this way instead of allocating per
+        cycle.
         """
         with self._lock:
             self._eow_seen.value = 0
+            self._eow_from[:] = bytes(len(self._eow_from))
 
     def qsize(self) -> int:
         """Approximate depth, or -1 where the platform cannot tell."""
@@ -134,11 +171,11 @@ class _SharedCopySetQueue:
 def _ack_and_release(item: "_WireEnvelope", ack_queues) -> None:
     """Discard one in-flight envelope: acknowledge it, then free it.
 
-    The single helper behind every abandon path — the parent's dead-copy-set
-    drain and the worker's crash drain — so neither can skip the
-    ``ack_queues[...] is not None`` guard (filters whose outputs need no
-    acks have no control queue) or leak the envelope's shared-memory
-    segments.  The ack reopens DD/RATE windows so producers blocked on the
+    The single helper behind every abandon path — the parent's sweep of
+    dead copy sets and final drain, and the worker's crash drain — so none
+    can skip the ``ack_queues[...] is not None`` guard (filters whose
+    outputs need no acks have no control queue) or leak the envelope's
+    shared-memory segments.  The ack reopens DD/RATE windows so producers blocked on the
     abandoned consumer wake up and finish.
     """
     if item.needs_ack and ack_queues[item.producer] is not None:
@@ -159,8 +196,8 @@ def _drain_input_discarding(my_queue: "_SharedCopySetQueue", ack_queues) -> None
         item_in = my_queue.queue.get()
         if item_in == _STOP:
             return
-        if item_in == _EOW:
-            if my_queue.on_eow():
+        if type(item_in) is tuple:  # (_EOW, cid)
+            if my_queue.on_eow(item_in[1]):
                 my_queue.finish()
                 return
             continue
@@ -223,6 +260,7 @@ class _Writer:
     def send(self, buffer: DataBuffer) -> Target:
         """Encode and route one buffer; blocks while DD windows are full."""
         encoded = self.codec.encode(buffer)
+        _IN_HAND[id(encoded)] = encoded
         try:
             with self._cond:
                 target = self.policy.route(buffer.tags)
@@ -253,6 +291,8 @@ class _Writer:
             # sender must release them or they leak past process exit.
             BufferCodec.release_encoded(encoded)
             raise
+        finally:
+            _IN_HAND.pop(id(encoded), None)
         return target
 
     def deliver_ack(self, target_index: int, sent_at: float) -> None:
@@ -281,20 +321,6 @@ class _CycleReport:
     error: str | None = None
 
 
-@dataclass
-class _CopyReport:
-    """Everything one worker process ships back to the parent."""
-
-    cid: int
-    filter_name: str
-    host: str
-    copy_index: int
-    cycles: list = field(default_factory=list)
-    events: list = field(default_factory=list)  # TraceEvent
-    queue_samples: list = field(default_factory=list)  # QueueSample
-    dropped: int = 0
-
-
 def _fold_cycle(
     metrics: RunMetrics,
     cycle: _CycleReport,
@@ -306,9 +332,9 @@ def _fold_cycle(
 ) -> "str | None":
     """Fold one copy's cycle report into a :class:`RunMetrics`.
 
-    Shared by the batch engine's merge and the warm pool's per-cycle merge;
-    ``time_offset`` rebases worker timestamps (engine-lifetime clock) onto a
-    per-query origin so a pooled query's makespan reads as its latency.
+    ``time_offset`` rebases worker timestamps (runtime clock) onto a
+    per-query origin so a pooled query's makespan reads as its latency;
+    the one-shot ``ProcessEngine.run_cycles`` passes 0 (call-start origin).
     Returns the cycle's error string, if any.
     """
     stats = metrics.new_copy(filter_name, host, copy_index)
@@ -334,30 +360,6 @@ def _fold_cycle(
         else:
             metrics.result = [metrics.result, cycle.result]
     return cycle.error
-
-
-def _start_ack_drain(ack_queue, writers_by_cycle) -> threading.Thread:
-    """Start the producer-side ack-drain thread.
-
-    Applies consumer acknowledgments to the right cycle's writer; acks for
-    a cycle whose writers are gone (finished batch cycle, recycled pool
-    slot) are dropped harmlessly.  Stops on the FIFO ``_STOP`` sentinel so
-    acks already queued still get delivered (and traced) first.
-    """
-
-    def _ack_loop():
-        while True:
-            msg = ack_queue.get()
-            if msg == _STOP:
-                break
-            k, stream, target_index, sent_at = msg
-            writer = writers_by_cycle.get(k, {}).get(stream)
-            if writer is not None:
-                writer.deliver_ack(target_index, sent_at)
-
-    thread = threading.Thread(target=_ack_loop, daemon=True)
-    thread.start()
-    return thread
 
 
 def _execute_cycle(
@@ -386,10 +388,9 @@ def _execute_cycle(
     """Run one unit of work through one copy, inside its worker process.
 
     The whole cycle protocol lives here — writers, init/handle/flush/
-    finalize, end-of-work announcement, crash drain — so the batch engine
-    (cycles known up front) and the warm pool (cycles arriving over control
-    queues) execute identically.  ``k`` is the global cycle number; for the
-    pool, ``my_queue``/``out_queues`` are the slot ``k % nslots``.
+    finalize, end-of-work announcement, crash drain.  ``k`` is the global
+    cycle number; ``my_queue``/``out_queues`` are the runtime's slot
+    ``k % nslots``.
     """
     cycle = _CycleReport()
     announced = False
@@ -447,8 +448,8 @@ def _execute_cycle(
                 if item_in == _STOP:
                     input_done = True
                     break
-                if item_in == _EOW:
-                    if my_queue.on_eow():
+                if type(item_in) is tuple:  # (_EOW, cid)
+                    if my_queue.on_eow(item_in[1]):
                         my_queue.finish()
                         input_done = True
                         break
@@ -493,7 +494,7 @@ def _execute_cycle(
         instance.finalize(ctx)
         for st in spec.outputs:
             for q in out_queues[st.name]:
-                q.producer_finished()
+                q.producer_finished(cid)
         announced = True
         if not spec.outputs:
             value = getattr(instance, "result", lambda: None)()
@@ -514,7 +515,7 @@ def _execute_cycle(
             for st in spec.outputs:
                 for q in out_queues[st.name]:
                     try:
-                        q.producer_finished()
+                        q.producer_finished(cid)
                     except BaseException:
                         pass
         cycle.finished_at = clock()
@@ -587,323 +588,28 @@ class ProcessEngine(Engine):
         """Execute one unit of work; blocks until all copies finish."""
         return self.run_cycles([None])[0]
 
-    # -- orchestration (parent process) -------------------------------------
     def run_cycles(self, uows: "list[Any]") -> list[RunMetrics]:
         """Run consecutive units of work through persistent filter copies.
 
         The work-cycle protocol of ``ThreadedEngine.run_cycles``, with each
-        copy a long-lived worker process: one filter instance per copy, one
+        copy a worker process: one filter instance per copy, one
         ``init``/``handle``/``flush``/``finalize`` pass per unit of work,
-        cycles pipelining freely.  Returns one :class:`RunMetrics` per unit
-        of work.
+        cycles pipelining freely.  Runs as a one-shot warm pool — one slot
+        per unit of work, every unit submitted at once, the pool closed on
+        return — with makespans and trace times measured from the start of
+        the call.  Returns one :class:`RunMetrics` per unit of work.
         """
         if not uows:
             raise EngineError("run_cycles() needs at least one unit of work")
-        mp_ctx = multiprocessing.get_context(self.start_method)
-        ncycles = len(uows)
-
-        # Start the shared-memory resource tracker *before* forking so every
-        # worker talks to the same tracker process: a segment registered at
-        # creation in one worker is then balanced by the unlink in another,
-        # instead of each side lazily spawning its own tracker and warning
-        # about "leaked" objects at exit.
-        if self.codec.use_shared_memory:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
-
-        # Copy-set queues, one per (filter, host, cycle) — same layout as
-        # the threaded engine so the close protocol carries over verbatim.
-        copysets: dict[str, list[list[_SharedCopySetQueue]]] = {}
-        copyset_hosts: dict[str, list[str]] = {}
-        for name, spec in self.graph.filters.items():
-            expected = sum(
-                self.placement.total_copies(s.src) for s in spec.inputs
-            )
-            sets, hosts = [], []
-            for cs in self.placement.copysets(name):
-                sets.append(
-                    [
-                        _SharedCopySetQueue(
-                            mp_ctx, cs.copies, expected, self.queue_capacity
-                        )
-                        for _ in range(ncycles)
-                    ]
-                )
-                hosts.append(cs.host)
-            copysets[name] = sets
-            copyset_hosts[name] = hosts
-
-        # One worker per copy, globally numbered.
-        plan = []  # (cid, spec, host, copy_index, copies_on_host, total, set_idx)
-        cid = 0
-        for name, spec in self.graph.filters.items():
-            total = self.placement.total_copies(name)
-            for set_idx, cs in enumerate(self.placement.copysets(name)):
-                for copy_index in range(cs.copies):
-                    plan.append(
-                        (cid, spec, cs.host, copy_index, cs.copies, total, set_idx)
-                    )
-                    cid += 1
-
-        # Ack control queues: one per producer copy whose writers need them.
-        needs_ack = {
-            name: any(
-                self._policy_for(st.name)().needs_ack for st in spec.outputs
-            )
-            for name, spec in self.graph.filters.items()
-        }
-        ack_queues = [
-            mp_ctx.SimpleQueue() if needs_ack[item[1].name] else None
-            for item in plan
-        ]
-        results_queue = mp_ctx.SimpleQueue()
+        from repro.engines.pool import _CopyRuntime
 
         tracer = self.tracer
         if tracer is not None and not tracer.clock:
             tracer.clock = "wall"
         emit_analysis_events(tracer, self._analysis_report, 0.0)
-        t_start = time.perf_counter()
-        shared = {
-            "uows": uows,
-            "copysets": copysets,
-            "copyset_hosts": copyset_hosts,
-            "ack_queues": ack_queues,
-            "results_queue": results_queue,
-            "t_start": t_start,
-            "trace": tracer is not None,
-            "trace_limit": tracer.limit if tracer is not None else 0,
-        }
-
-        procs: dict[int, Any] = {}
-        for item in plan:
-            proc = mp_ctx.Process(
-                target=self._copy_worker,
-                args=(shared, item),
-                name=f"{item[1].name}@{item[2]}#{item[3]}",
-                daemon=True,
-            )
-            procs[item[0]] = proc
-        for proc in procs.values():
-            proc.start()
-
-        # Reports must drain concurrently: a worker's final put can exceed
-        # the pipe buffer and would deadlock a join-first parent.
-        reports: list[_CopyReport] = []
-
-        def _collect():
-            while True:
-                item = results_queue.get()
-                if item == _STOP:
-                    break
-                reports.append(item)
-
-        collector = threading.Thread(target=_collect, daemon=True)
-        collector.start()
-
-        crashes = self._supervise(procs, plan, copysets, ack_queues, ncycles)
-        results_queue.put(_STOP)
-        collector.join()
-
-        return self._merge(
-            reports, plan, uows, crashes, tracer
-        )
-
-    def _supervise(self, procs, plan, copysets, ack_queues, ncycles):
-        """Wait for all workers; recover from hard crashes.
-
-        A worker that dies without running its cleanup (segfault, kill,
-        fork-safety bug) would leave consumers waiting for end-of-work and
-        producers blocked on a queue nobody drains.  The parent holds every
-        queue handle, so it announces EOW on the dead copy's behalf and
-        drains copy sets whose members are all gone.
-
-        While every worker is healthy the supervisor blocks in
-        ``multiprocessing.connection.wait`` on the process sentinels — one
-        poll(2) that sleeps in the kernel until a worker actually exits,
-        instead of a 10 ms ``is_alive`` loop burning a core per run.  Only
-        after a crash, while fully-dead copy sets may still receive traffic
-        from surviving producers, does the wait take a short timeout so the
-        drain sweeps keep running.
-        """
-        by_cid = {item[0]: item for item in plan}
-        live = dict(procs)
-        sentinels = {p.sentinel: c for c, p in procs.items()}
-        crashes = []
-        dead_cids: set[int] = set()
-        while live:
-            ready = multiprocessing.connection.wait(
-                [p.sentinel for p in live.values()],
-                timeout=0.05 if dead_cids else None,
-            )
-            for sentinel in ready:
-                c = sentinels[sentinel]
-                proc = live.pop(c)
-                proc.join()
-                if proc.exitcode != 0:
-                    crashes.append((by_cid[c], proc.exitcode))
-                    dead_cids.add(c)
-                    _cid, spec, _h, _ci, _coh, _tot, _si = by_cid[c]
-                    for st in spec.outputs:
-                        for sets in copysets[st.dst]:
-                            for k in range(ncycles):
-                                # Announce on the dead copy's behalf (a
-                                # surplus marker is ignored consumer-side).
-                                # The put blocks while the queue is full, so
-                                # run it off-thread to keep supervising.
-                                threading.Thread(
-                                    target=sets[k].producer_finished,
-                                    daemon=True,
-                                ).start()
-            if dead_cids:
-                self._drain_dead_copysets(
-                    plan, live, dead_cids, copysets, ack_queues, ncycles
-                )
-        return crashes
-
-    def _drain_dead_copysets(self, plan, live, dead_cids, copysets,
-                             ack_queues, ncycles):
-        """Discard traffic aimed at copy sets with no surviving member."""
-        members: dict[tuple[str, int], list[int]] = {}
-        for cid, spec, _h, _ci, _coh, _tot, set_idx in plan:
-            members.setdefault((spec.name, set_idx), []).append(cid)
-        for (name, set_idx), cids in members.items():
-            if not any(c in dead_cids for c in cids):
-                continue
-            if any(c in live for c in cids):
-                continue  # a surviving sibling still drains the queue
-            for k in range(ncycles):
-                q = copysets[name][set_idx][k].queue
-                while True:
-                    try:
-                        item = q.get_nowait()
-                    except queue_mod.Empty:
-                        break
-                    if item == _STOP or item == _EOW:
-                        continue
-                    _ack_and_release(item, ack_queues)
-
-    def _merge(self, reports, plan, uows, crashes, tracer):
-        """Fold worker reports into per-cycle RunMetrics and the tracer."""
-        ncycles = len(uows)
-        metrics_list = [RunMetrics() for _ in uows]
-        for metrics in metrics_list:
-            metrics.ack_nbytes = self.ack_nbytes
-        errors: list[str] = []
-        for item, exitcode in crashes:
-            errors.append(
-                f"worker process {item[1].name}@{item[2]}#{item[3]} died "
-                f"with exit code {exitcode}"
-            )
-        for report in sorted(reports, key=lambda r: r.cid):
-            for k, cycle in enumerate(report.cycles[:ncycles]):
-                error = _fold_cycle(
-                    metrics_list[k], cycle, report.filter_name, report.host,
-                    report.copy_index, self.ack_nbytes,
-                )
-                if error:
-                    errors.append(error)
-        for k, metrics in enumerate(metrics_list):
-            metrics.makespan = max(
-                (c.finished_at for c in metrics.copies), default=0.0
-            )
-        if tracer is not None:
-            events = sorted(
-                (e for r in reports for e in r.events), key=lambda e: e.time
-            )
-            samples = sorted(
-                (s for r in reports for s in r.queue_samples),
-                key=lambda s: s.time,
-            )
-            for event in events:
-                tracer.record(event.time, event.copy, event.kind, event.detail)
-            for sample in samples:
-                tracer.sample_queue(sample.time, sample.queue, sample.depth)
-            tracer.dropped += sum(r.dropped for r in reports)
-        if errors:
-            # Healthy cycles merged fine; hand their metrics to the caller
-            # alongside every error instead of discarding the batch.
-            raise EngineError(
-                f"filter copy failed: {errors[0]}",
-                metrics=metrics_list, errors=errors,
-            )
-        return metrics_list
-
-    # -- the worker (child process) ------------------------------------------
-    def _copy_worker(self, shared, item):
-        """Entry point of one copy's process: run every cycle, then report."""
-        cid, spec, host, copy_index, copies_on_host, total, set_idx = item
-        uows = shared["uows"]
-        copysets = shared["copysets"]
-        copyset_hosts = shared["copyset_hosts"]
-        ack_queues = shared["ack_queues"]
-        t_start = shared["t_start"]
-        clock = lambda: time.perf_counter() - t_start  # noqa: E731
-        # Worker-local tracer: same schema, merged (time-sorted) by the
-        # parent.  perf_counter is CLOCK_MONOTONIC on Linux, shared by all
-        # forked workers, so timestamps are directly comparable.
-        tracer = (
-            Tracer(limit=shared["trace_limit"], clock="wall")
-            if shared["trace"]
-            else None
-        )
-        label = f"{spec.name}@{host}#{copy_index}"
-        report = _CopyReport(cid, spec.name, host, copy_index)
-        codec = self.codec
-
-        # Ack-drain thread: applies consumer acknowledgments to the right
-        # cycle's writer (late acks from a finished cycle stay harmless).
-        writers_by_cycle: dict[int, dict[str, _Writer]] = {}
-        ack_queue = ack_queues[cid]
-        ack_thread = None
-        if ack_queue is not None:
-            ack_thread = _start_ack_drain(ack_queue, writers_by_cycle)
-
+        # The units of work reach the workers through fork, as arguments.
+        runtime = _CopyRuntime(self, nslots=len(uows), uows=uows)
         try:
-            instance: Filter | None = spec.factory()
-            build_error = None
-        except BaseException as exc:  # noqa: BLE001 - reported per cycle
-            instance = None
-            build_error = f"filter {spec.name!r} failed to build: {exc!r}"
-
-        for k, uow in enumerate(uows):
-            report.cycles.append(
-                _execute_cycle(
-                    spec=spec,
-                    host=host,
-                    copy_index=copy_index,
-                    copies_on_host=copies_on_host,
-                    total=total,
-                    cid=cid,
-                    k=k,
-                    uow=uow,
-                    instance=instance,
-                    build_error=build_error,
-                    my_queue=copysets[spec.name][set_idx][k],
-                    out_queues={
-                        st.name: [sets[k] for sets in copysets[st.dst]]
-                        for st in spec.outputs
-                    },
-                    out_hosts={
-                        st.name: copyset_hosts[st.dst] for st in spec.outputs
-                    },
-                    policy_for=self._policy_for,
-                    codec=codec,
-                    ack_queues=ack_queues,
-                    tracer=tracer,
-                    clock=clock,
-                    label=label,
-                    writers_by_cycle=writers_by_cycle,
-                )
-            )
-
-        if ack_thread is not None:
-            # FIFO sentinel: acks already queued still get delivered (and
-            # traced) before the drain thread stops.
-            ack_queue.put(_STOP)
-            ack_thread.join()
-        if tracer is not None:
-            report.events = tracer.events
-            report.queue_samples = tracer.queue_samples
-            report.dropped = tracer.dropped
-        shared["results_queue"].put(report)
+            return runtime.run_batch([None] * len(uows), tracer, rebase=False)
+        finally:
+            runtime.close()

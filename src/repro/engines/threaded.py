@@ -351,10 +351,14 @@ class ThreadedEngine(Engine):
                             t0 = time.perf_counter()
                             if tracer:
                                 tracer.record(clock(), label, "compute", "start")
-                            instance.handle(ctx, payload)
+                            try:
+                                instance.handle(ctx, payload)
+                            finally:
+                                # Even when handle() raises: the lease holds
+                                # the decoded shared-memory segment.
+                                if lease is not None:
+                                    lease.release()
                             busy += time.perf_counter() - t0
-                            if lease is not None:
-                                lease.release()
                             if tracer:
                                 tracer.record(clock(), label, "compute", "end")
                     t0 = time.perf_counter()

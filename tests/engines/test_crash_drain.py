@@ -10,6 +10,7 @@ back to its pre-run state afterwards.
 
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -20,6 +21,8 @@ import pytest
 
 from repro.core import DataBuffer, Filter, FilterGraph, Placement
 from repro.core.buffer import BufferCodec
+from repro.engines import ThreadedEngine, WarmPool
+from repro.engines.pool import _JOIN_TIMEOUT_S
 from repro.engines.process import ProcessEngine, _Writer
 from repro.errors import EngineError
 
@@ -105,6 +108,23 @@ def test_consumer_exception_releases_segments(shm_ledger):
     assert not shm_ledger()
 
 
+def test_threaded_consumer_exception_releases_segments(shm_ledger):
+    """The threaded engine releases a decoded lease even when handle raises."""
+
+    class ExplodingSink(Filter):
+        def handle(self, ctx, buffer):
+            raise RuntimeError("boom")
+
+    g, p = _crash_graph(ExplodingSink)
+    engine = ThreadedEngine(
+        g, p, policy="DD", codec=BufferCodec(shm_threshold=1024),
+        queue_capacity=2,
+    )
+    with pytest.raises(EngineError, match="boom"):
+        engine.run()
+    assert not shm_ledger()
+
+
 def test_consumer_hard_crash_releases_segments(shm_ledger):
     """A consumer dying without cleanup leaves the parent to drain.
 
@@ -129,6 +149,97 @@ def test_consumer_hard_crash_releases_segments(shm_ledger):
     with pytest.raises(EngineError, match="exit code 3"):
         engine.run()
     assert not shm_ledger()
+
+
+def test_pool_consumer_hard_crash_releases_segments(shm_ledger):
+    """A warm-pool worker dying mid-query leaks no segment and breaks the pool.
+
+    The producer is still sending into the dead copy set when the consumer
+    dies, so its in-flight envelopes must be acked and released by the
+    supervisor while it finishes the cycle — not stranded by terminating
+    it — before the pool retires.
+    """
+
+    class DyingSink(ArraySumSink):
+        def init(self, ctx):
+            if ctx.uow == "die":
+                os._exit(3)
+            super().init(ctx)
+
+    g, p = _crash_graph(DyingSink, count=12)
+    pool = WarmPool(
+        g, p, policy="DD", codec=BufferCodec(shm_threshold=1024),
+        queue_capacity=1,
+    )
+    try:
+        assert pool.submit("live").result().result == sum(
+            4096.0 * i for i in range(12)
+        )
+        with pytest.raises(EngineError, match="exit code 3"):
+            pool.submit("die").result()
+        assert not pool.usable
+    finally:
+        pool.close()
+    assert not shm_ledger()
+    workers = [
+        proc for proc in multiprocessing.active_children()
+        if proc.name.startswith("copy:")
+    ]
+    assert not workers, f"orphan worker processes: {workers}"
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_pool_consumer_killed_in_get_does_not_hang(shm_ledger, copies):
+    """A consumer SIGKILLed while blocked in ``get`` keeps the queue's lock.
+
+    With one copy the supervisor takes the lock back and drains the copy
+    set, so the producer finishes.  With two, the sibling waits on that
+    lock forever, so the runtime gives up after its recovery limit,
+    terminates the survivors and fails the query.  Either way the query
+    fails with the death, and close() leaves no segment or process.
+    """
+
+    class SlowSource(ArraySource):
+        def flush(self, ctx):
+            time.sleep(1.0)  # the kill lands while every sink waits
+            super().flush(ctx)
+
+    class LateSink(ArraySumSink):
+        def init(self, ctx):
+            if ctx.copy_index == 1:
+                time.sleep(0.5)  # so copy 0 is the one holding the lock
+            super().init(ctx)
+
+    g = FilterGraph()
+    g.add_filter("src", factory=lambda: SlowSource(12), is_source=True)
+    g.add_filter("sink", factory=LateSink)
+    g.connect("src", "sink")
+    p = Placement().place("src", ["h0"]).place("sink", [("h0", copies)])
+    pool = WarmPool(
+        g, p, policy="DD", codec=BufferCodec(shm_threshold=1024),
+        queue_capacity=1,
+    )
+    try:
+        pending = pool.submit(None)
+        time.sleep(0.3)
+        (victim,) = [
+            proc for proc in multiprocessing.active_children()
+            if proc.name == "copy:sink@h0#0"
+        ]
+        os.kill(victim.pid, signal.SIGKILL)
+        # One copy recovers at once; two wait out the recovery limit.
+        limit = 5.0 if copies == 1 else _JOIN_TIMEOUT_S + 30.0
+        with pytest.raises(EngineError, match="exit code -9"):
+            pending.result(timeout=limit)
+        assert not pool.usable
+    finally:
+        pool.close()
+    assert not shm_ledger()
+    workers = [
+        proc for proc in multiprocessing.active_children()
+        if proc.name.startswith("copy:")
+    ]
+    assert not workers, f"orphan worker processes: {workers}"
 
 
 def test_abandoned_send_releases_encoded_payload(shm_ledger):

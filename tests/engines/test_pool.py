@@ -17,6 +17,7 @@ import pytest
 
 from repro.core import DataBuffer, Filter, FilterGraph, Placement
 from repro.engines import PoolManager, ProcessEngine, WarmPool
+from repro.engines.pool import _JOIN_TIMEOUT_S
 from repro.errors import EngineError
 
 pytestmark = pytest.mark.skipif(
@@ -58,7 +59,7 @@ class SumSink(Filter):
         return {"total": self.total, "buffers": self.buffers}
 
 
-def build_pool(count=10, mid_copies=2, policy="DD", **kw):
+def build_graph(count=10, mid_copies=2):
     g = FilterGraph()
     g.add_filter("src", factory=lambda: NumberSource(count), is_source=True)
     g.add_filter("mid", factory=Doubler)
@@ -69,6 +70,11 @@ def build_pool(count=10, mid_copies=2, policy="DD", **kw):
     p.place("src", ["h0"])
     p.place("mid", [("h0", mid_copies)])
     p.place("sink", ["h0"])
+    return g, p
+
+
+def build_pool(count=10, mid_copies=2, policy="DD", **kw):
+    g, p = build_graph(count, mid_copies)
     return WarmPool(g, p, policy=policy, **kw)
 
 
@@ -137,6 +143,27 @@ def test_idle_timeout_reaps_pool():
     assert not pool.usable
     with pytest.raises(EngineError, match="closed"):
         pool.submit(None)
+
+
+def test_idle_timeout_reaps_after_query_longer_than_timeout():
+    """A query outliving ``idle_timeout`` must not disarm the reaper."""
+
+    class SlowSink(Filter):
+        def handle(self, ctx, buffer):
+            time.sleep(0.6)
+
+    g = FilterGraph()
+    g.add_filter("src", factory=lambda: NumberSource(1), is_source=True)
+    g.add_filter("sink", factory=SlowSink)
+    g.connect("src", "sink")
+    p = Placement().place("src", ["h0"]).place("sink", ["h0"])
+    pool = WarmPool(g, p, idle_timeout=0.3)
+    pool.submit(None).result()
+    deadline = time.time() + 10.0
+    while not pool.reaped and time.time() < deadline:
+        time.sleep(0.05)
+    assert pool.reaped
+    assert not pool.usable
 
 
 def test_close_while_busy_finishes_inflight_queries():
@@ -212,6 +239,149 @@ def test_worker_death_breaks_pool():
     with pytest.raises(EngineError, match="broken|closed"):
         pool.submit(None)
     pool.close()  # close after break is a clean no-op
+
+
+def test_worker_death_unblocks_submit_to_dead_worker():
+    """A submit writing a large unit of work to a dying copy still returns.
+
+    The copy reads its control queue only between cycles, so the submit
+    blocks on the pipe while the copy is busy; once the copy is dead the
+    runtime must keep reading that pipe or the submit, and with it close(),
+    would wait forever.
+    """
+
+    class SlowDying(Filter):
+        def init(self, ctx):
+            if ctx.uow == "die":
+                time.sleep(0.5)
+                os._exit(5)
+
+        def handle(self, ctx, buffer):
+            pass
+
+    g = FilterGraph()
+    g.add_filter("src", factory=lambda: NumberSource(4), is_source=True)
+    g.add_filter("sink", factory=SlowDying)
+    g.connect("src", "sink")
+    p = Placement().place("src", ["h0"]).place("sink", ["h0"])
+    pool = WarmPool(g, p, max_inflight=2)
+    first = pool.submit("die")
+    submitted = []
+    submitter = threading.Thread(
+        target=lambda: submitted.append(pool.submit({"blob": b"x" * 2_000_000})),
+        daemon=True,
+    )
+    submitter.start()
+    submitter.join(timeout=30.0)
+    assert not submitter.is_alive(), "submit stayed blocked on a dead copy"
+    assert len(submitted) == 1
+    for pending in (first, *submitted):
+        with pytest.raises(EngineError, match="exit code 5"):
+            pending.result(timeout=30.0)
+    closer = threading.Thread(target=pool.close, daemon=True)
+    closer.start()
+    closer.join(timeout=30.0)
+    assert not closer.is_alive()
+    assert not pool.usable
+
+
+@pytest.mark.parametrize("case", ["lost", "flushed"])
+def test_copy_dying_after_its_report_fails_the_cycle(monkeypatch, case):
+    """A copy that dies just after reporting a cycle still fails that cycle.
+
+    Its queue writes drain through a feeder thread, so the buffers and
+    end-of-work marker it sent may die with it ("lost", here with the
+    collector still behind on its report).  The supervisor announces
+    end-of-work on its behalf whether or not it reported.  When the copy's own marker did arrive
+    ("flushed"), the consumer must not count the second one in place of
+    its slower sibling's, or it stops early and the sibling blocks on the
+    full queue.  Either way the cycle fails rather than resolve with
+    buffers missing or hang.  A copy killed while its feeder thread writes
+    can keep the queue's write lock, so the lost case may take the
+    recovery limit; the flushed case must fail well before it.
+    """
+    from repro.engines import pool as pool_mod
+
+    if case == "lost":
+        collect = pool_mod._CopyRuntime._collect_loop
+
+        def late_collect(self):
+            time.sleep(1.0)
+            collect(self)
+
+        monkeypatch.setattr(pool_mod._CopyRuntime, "_collect_loop", late_collect)
+
+    class Source(Filter):
+        def init(self, ctx):
+            if ctx.uow == "die" and ctx.copy_index == 0:
+                if case == "flushed":
+                    time.sleep(0.3)
+                os._exit(7)
+
+        def flush(self, ctx):
+            if ctx.copy_index == 1:
+                time.sleep(0.5)
+            for i in range(5):
+                ctx.write(DataBuffer(8, payload=10 * ctx.copy_index + i))
+
+    g = FilterGraph()
+    g.add_filter("src", factory=Source, is_source=True)
+    g.add_filter("sink", factory=SumSink)
+    g.connect("src", "sink")
+    p = Placement().place("src", [("h0", 2)]).place("sink", ["h0"])
+    pool = WarmPool(g, p, policy="RR", max_inflight=2, queue_capacity=2)
+    try:
+        first = pool.submit("live")
+        second = pool.submit("die")
+        limit = _JOIN_TIMEOUT_S / 2 if case == "flushed" else _JOIN_TIMEOUT_S + 30
+        for pending in (first, second):
+            with pytest.raises(EngineError, match="exit code 7"):
+                pending.result(timeout=limit)
+    finally:
+        pool.close()
+
+
+def test_unpicklable_unit_of_work():
+    """The one-shot engine hands units of work over through fork, as it
+    always has; a warm pool pickles each one once, before queueing it, so
+    an unpicklable unit fails at once and leaves the pool usable."""
+    uow = {"scale": 3, "lock": threading.Lock()}
+    g, p = build_graph()
+    (metrics,) = ProcessEngine(g, p).run_cycles([uow])
+    assert metrics.result["total"] == 270
+    with build_pool() as pool:
+        with pytest.raises(TypeError):
+            pool.submit(uow)
+        assert pool.usable
+        assert pool.submit({"scale": 1}).result(timeout=30.0).result == EXPECTED
+
+
+def test_batch_contract_when_a_copy_dies_mid_submit():
+    """Units not yet submitted when a copy dies fail with its reason.
+
+    With one slot the second submit waits for the first cycle, in which
+    the sink dies; the batch still raises one error with an entry per
+    unit instead of a bare "warm pool is broken".
+    """
+
+    class Mortal(SumSink):
+        def handle(self, ctx, buffer):
+            if ctx.uow == "die":
+                os._exit(23)
+            super().handle(ctx, buffer)
+
+    g = FilterGraph()
+    g.add_filter("src", factory=lambda: NumberSource(6), is_source=True)
+    g.add_filter("sink", factory=Mortal)
+    g.connect("src", "sink")
+    p = Placement().place("src", ["h0"]).place("sink", ["h0"])
+    with WarmPool(g, p, max_inflight=1) as pool:
+        with pytest.raises(EngineError, match="exit code 23") as info:
+            pool.run_cycles(["die", None, None])
+    metrics = info.value.metrics
+    assert len(metrics) == 3
+    assert metrics[0] is not None and metrics[1:] == [None, None]
+    assert all("exit code 23" in e for e in info.value.errors)
 
 
 def test_pool_matches_cold_engine_bit_exact():

@@ -1,8 +1,8 @@
 """Supervisor behaviour: block on process sentinels, never busy-poll.
 
 The process engine's parent used to loop ``is_alive()`` with a 10 ms sleep
-per lap for the whole run.  It now blocks in
-``multiprocessing.connection.wait`` on the worker sentinels — no timeout
+per lap for the whole run.  The copy runtime's supervisor thread now blocks
+in ``multiprocessing.connection.wait`` on the worker sentinels — no timeout
 while every worker is healthy, a short sweep interval only after a crash
 while dead copy sets may still receive traffic.
 """
@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro.core import DataBuffer, Filter, FilterGraph, Placement
+from repro.engines.pool import _SWEEP_INTERVAL_S
 from repro.engines.process import ProcessEngine
 from repro.errors import EngineError
 
@@ -23,6 +24,9 @@ pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="process engine needs the fork start method",
 )
+
+#: Name of the copy runtime's supervisor thread (one per open pool).
+SUPERVISOR = "pool-supervisor"
 
 
 class NumberSource(Filter):
@@ -89,17 +93,16 @@ def sleep_calls(monkeypatch):
 
 def test_healthy_supervision_blocks_without_polling(wait_calls, sleep_calls):
     """With healthy workers the supervisor never sleeps or times out."""
-    supervisor = threading.current_thread().name  # run() supervises inline
     metrics = build(count=20).run()
     assert metrics.result == sum(range(20))
 
-    supervisor_waits = [c for c in wait_calls if c["thread"] == supervisor]
+    supervisor_waits = [c for c in wait_calls if c["thread"] == SUPERVISOR]
     assert supervisor_waits, "supervisor never used connection.wait"
     assert all(c["timeout"] is None for c in supervisor_waits), (
         "healthy supervision must block indefinitely on the sentinels, "
         f"got timeouts {[c['timeout'] for c in supervisor_waits]}"
     )
-    polls = [c for c in sleep_calls if c["thread"] == supervisor]
+    polls = [c for c in sleep_calls if c["thread"] == SUPERVISOR]
     assert not polls, f"supervisor slept in a poll loop: {polls}"
 
 
@@ -122,6 +125,6 @@ def test_crash_supervision_switches_to_sweep_timeout(wait_calls):
         ProcessEngine(g, p).run()
     # The first wait (everything healthy) blocks; once the crash is seen
     # at least one subsequent wait must use the finite sweep timeout.
-    timeouts = [c["timeout"] for c in wait_calls]
+    timeouts = [c["timeout"] for c in wait_calls if c["thread"] == SUPERVISOR]
     assert timeouts[0] is None
-    assert any(t is not None for t in timeouts)
+    assert _SWEEP_INTERVAL_S in timeouts

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core import DataBuffer, FilterGraph, Placement, SimFilter, SimSource, SourceItem
+from repro.core.tracing import Tracer
 from repro.engines.simulated import SimulatedEngine
-from repro.engines.trace import Tracer
 from repro.sim import Environment, homogeneous_cluster
 
 
