@@ -9,6 +9,9 @@
   warm pool: it opens the process copy runtime for one batch and closes it;
 - :class:`~repro.engines.pool.WarmPool` keeps that same runtime open
   between runs, serving units of work as they arrive (``repro serve``).
+
+The threaded engine and the process runtime run one per-copy cycle
+protocol, :mod:`repro.engines.copy`, over a thread or a process transport.
 """
 
 from repro.engines.base import Engine

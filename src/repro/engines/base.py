@@ -7,6 +7,7 @@ from collections.abc import Callable, Iterable
 from typing import TYPE_CHECKING
 
 from repro.core.instrument import RunMetrics
+from repro.core.policies import PolicyFactory, make_policy_factory
 from repro.errors import EngineError
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -28,14 +29,49 @@ class Engine(ABC):
     experiment), :class:`repro.engines.threaded.ThreadedEngine` (real
     filters, one thread per copy — correctness baseline) and
     :class:`repro.engines.process.ProcessEngine` (real filters, one process
-    per copy — actual parallelism on multicore hosts).  The process engine
-    and :class:`repro.engines.pool.WarmPool` share one process copy
-    runtime: the engine opens it for one batch, the pool keeps it open.
+    per copy — actual parallelism on multicore hosts).  The two real
+    engines run one per-copy cycle protocol (:mod:`repro.engines.copy`)
+    over a thread or a process transport; the process engine and
+    :class:`repro.engines.pool.WarmPool` share one process copy runtime:
+    the engine opens it for one batch, the pool keeps it open.
+
+    Every engine resolves its writer policies here: a default policy plus
+    per-stream overrides, each a name or a factory.
     """
+
+    _default_factory: PolicyFactory
+    _stream_factories: "dict[str, PolicyFactory]"
+    _analysis_report: "DiagnosticReport"
 
     @abstractmethod
     def run(self) -> RunMetrics:
         """Execute one unit of work and return its measurements."""
+
+    def _init_policies(
+        self,
+        policy: "str | PolicyFactory",
+        policy_overrides: "dict[str, str | PolicyFactory] | None",
+    ) -> None:
+        self._default_factory = _resolve_policy(policy)
+        self._stream_factories = {
+            name: _resolve_policy(p)
+            for name, p in (policy_overrides or {}).items()
+        }
+
+    def _policy_for(self, stream: str) -> PolicyFactory:
+        """The writer-policy factory for ``stream``."""
+        return self._stream_factories.get(stream, self._default_factory)
+
+    def _start_wall_trace(self, tracer: "Tracer | None") -> "Tracer | None":
+        """Mark ``tracer`` as wall-clock and record the analysis warnings."""
+        if tracer is not None and not tracer.clock:
+            tracer.clock = "wall"
+        emit_analysis_events(tracer, self._analysis_report, 0.0)
+        return tracer
+
+
+def _resolve_policy(policy: "str | PolicyFactory") -> PolicyFactory:
+    return policy if callable(policy) else make_policy_factory(policy)
 
 
 def validate_run_setup(

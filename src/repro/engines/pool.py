@@ -12,12 +12,15 @@ case of the same runtime: one slot per unit of work, closed on return.
 Mechanics
 ---------
 :class:`_CopyRuntime` allocates ``nslots`` *slots*; each slot owns one
-:class:`~repro.engines.process._SharedCopySetQueue` per (filter, host).
+:class:`~repro.engines.copy._CopySetQueue` per (filter, host).
 Cycle ``k`` runs in slot ``k % nslots``: up to ``nslots`` queries pipeline
 through the filters concurrently, and a slot is recycled (end-of-work
 counters rearmed) only after every copy has reported cycle ``k`` — so its
 queues are provably drained.  Workers run the per-cycle protocol of
-:func:`~repro.engines.process._execute_cycle`, ship one report per cycle
+:func:`~repro.engines.copy._execute_cycle` — the same function the
+threaded engine's copy threads run — over the process transport (queues
+from the ``multiprocessing`` context, acks over a ``SimpleQueue`` per
+producer, payloads through the engine's codec), ship one report per cycle
 and block reading their control pipe between queries.
 
 The parent-side supervisor blocks in ``multiprocessing.connection.wait``
@@ -60,17 +63,24 @@ from repro.core.instrument import DEFAULT_ACK_BYTES, RunMetrics
 from repro.core.placement import Placement
 from repro.core.policies import PolicyFactory
 from repro.core.tracing import Tracer
-from repro.engines.base import emit_analysis_events
-from repro.engines.process import (
+from repro.engines.copy import (
+    _IN_HAND,
     _STOP,
-    ProcessEngine,
     _ack_and_release,
+    _apply_ack,
+    _build_copysets,
+    _build_filter,
+    _Copy,
+    _copy_failure,
+    _copy_plan,
+    _CopySetQueue,
     _execute_cycle,
-    _fold_cycle,
-    _release_in_hand_and_die,
-    _SharedCopySetQueue,
+    _fold_reports,
+    _release,
     _WireEnvelope,
+    _Wiring,
 )
+from repro.engines.process import ProcessEngine
 from repro.errors import EngineError
 
 __all__ = ["PendingQuery", "PoolManager", "WarmPool"]
@@ -156,37 +166,13 @@ class _CopyRuntime:
 
             resource_tracker.ensure_running()
 
-        graph, placement = engine.graph, engine.placement
-        # One worker per copy, globally numbered.
-        plan = []  # (cid, spec, host, copy_index, copies_on_host, total, set_idx)
-        for name, spec in graph.filters.items():
-            total = placement.total_copies(name)
-            for set_idx, cs in enumerate(placement.copysets(name)):
-                for copy_index in range(cs.copies):
-                    plan.append(
-                        (len(plan), spec, cs.host, copy_index, cs.copies,
-                         total, set_idx)
-                    )
-
-        # One copy-set queue per (filter, host, slot) — the threaded
-        # engine's per-cycle layout, so the close protocol carries over.
-        copysets: dict[str, list[list[_SharedCopySetQueue]]] = {}
-        copyset_hosts: dict[str, list[str]] = {}
-        for name, spec in graph.filters.items():
-            expected = sum(placement.total_copies(s.src) for s in spec.inputs)
-            copysets[name] = [
-                [
-                    _SharedCopySetQueue(
-                        mp_ctx, cs.copies, expected, engine.queue_capacity,
-                        len(plan),
-                    )
-                    for _ in range(nslots)
-                ]
-                for cs in placement.copysets(name)
-            ]
-            copyset_hosts[name] = [cs.host for cs in placement.copysets(name)]
-
-        # Ack control queues: one per producer copy whose writers need them.
+        graph = engine.graph
+        plan = _copy_plan(graph, engine.placement)  # one worker per copy
+        copysets, copyset_hosts = _build_copysets(
+            mp_ctx, graph, engine.placement, nslots, engine.queue_capacity,
+            len(plan),
+        )
+        # Ack queues: one per producer copy whose writers need them.
         needs_ack = {
             name: any(
                 engine._policy_for(st.name)().needs_ack for st in spec.outputs
@@ -194,18 +180,20 @@ class _CopyRuntime:
             for name, spec in graph.filters.items()
         }
         self._ack_queues = [
-            mp_ctx.SimpleQueue() if needs_ack[item[1].name] else None
-            for item in plan
+            mp_ctx.SimpleQueue() if needs_ack[copy.spec.name] else None
+            for copy in plan
         ]
         # Control pipes (reader, writer), parent to worker: a pickled cycle
         # header, then the pickled unit of work unless fork delivered it.
         self._controls = [mp_ctx.Pipe(duplex=False) for _ in plan]
         self._results = mp_ctx.SimpleQueue()
         self._copysets = copysets
-        self._by_cid = {item[0]: item for item in plan}
+        self._plan = plan
         self._members: dict[tuple[str, int], list[int]] = {}
-        for item in plan:
-            self._members.setdefault((item[1].name, item[6]), []).append(item[0])
+        for copy in plan:
+            self._members.setdefault(
+                (copy.spec.name, copy.set_idx), []
+            ).append(copy.cid)
         self.nslots = nslots
         self.idle_timeout = idle_timeout
         self.ack_nbytes = engine.ack_nbytes
@@ -232,25 +220,24 @@ class _CopyRuntime:
 
         self.t_start = time.perf_counter()
         shared = {
-            "copysets": copysets,
-            "copyset_hosts": copyset_hosts,
-            "ack_queues": self._ack_queues,
+            "wiring": _Wiring(
+                copysets, copyset_hosts, self._ack_queues, engine._policy_for,
+                engine.codec,
+            ),
             "controls": [reader for reader, _ in self._controls],
             "results": self._results,
             "t_start": self.t_start,
             "nslots": nslots,
             "uows": uows,
-            "codec": engine.codec,
-            "policy_for": engine._policy_for,
         }
         self._procs = {
-            item[0]: mp_ctx.Process(
+            copy.cid: mp_ctx.Process(
                 target=_worker_main,
-                args=(shared, item),
-                name=f"copy:{item[1].name}@{item[2]}#{item[3]}",
+                args=(shared, copy),
+                name=f"copy:{copy.label}",
                 daemon=True,
             )
-            for item in plan
+            for copy in plan
         }
         for proc in self._procs.values():
             proc.start()
@@ -379,11 +366,7 @@ class _CopyRuntime:
                 metrics_list.append(exc.metrics[0] if exc.metrics else None)
                 errors.extend(exc.errors or [str(exc)])
         if errors:
-            raise EngineError(
-                f"filter copy failed: {errors[0]}",
-                metrics=metrics_list,
-                errors=errors,
-            )
+            raise _copy_failure(metrics_list, errors)
         return metrics_list
 
     def _clock(self) -> float:
@@ -394,7 +377,7 @@ class _CopyRuntime:
         """True once for a cycle every surviving copy has reported."""
         reported = {r[0] for r in pending.reports}
         if pending.claimed or len(reported | self._deaths.keys()) < len(
-            self._by_cid
+            self._plan
         ):
             return False
         pending.claimed = True
@@ -424,26 +407,18 @@ class _CopyRuntime:
         that had reported it: a copy's queue writes drain through a feeder
         thread, so output it sent just before dying may never arrive.
         """
-        metrics = RunMetrics()
-        metrics.ack_nbytes = self.ack_nbytes
+        offset = pending.t0
+        metrics, copy_errors = _fold_reports(
+            (r[:2] for r in pending.reports), self._plan, self.ack_nbytes,
+            time_offset=offset,
+        )
         errors = list(pending.deaths)
         if abandoned:
             errors.append(
                 f"cycle {pending.cycle} abandoned: no copy reported for "
                 f"{_JOIN_TIMEOUT_S:g} s after {self._break_reason}"
             )
-        offset = pending.t0
-        for cid, cycle, _e, _s, _d in sorted(pending.reports, key=lambda r: r[0]):
-            item = self._by_cid[cid]
-            error = _fold_cycle(
-                metrics, cycle, item[1].name, item[2], item[3],
-                self.ack_nbytes, time_offset=offset,
-            )
-            if error:
-                errors.append(error)
-        metrics.makespan = max(
-            (c.finished_at for c in metrics.copies), default=0.0
-        )
+        errors += copy_errors
         if pending.tracer is not None:
             events = sorted(
                 (e for r in pending.reports for e in r[2]),
@@ -476,13 +451,7 @@ class _CopyRuntime:
             self.cycles_completed += 1
         self._slot_free[slot].set()
         if errors:
-            pending._fail(
-                EngineError(
-                    f"filter copy failed: {errors[0]}",
-                    metrics=[metrics],
-                    errors=errors,
-                )
-            )
+            pending._fail(_copy_failure([metrics], errors))
         else:
             pending._resolve(metrics)
 
@@ -549,10 +518,9 @@ class _CopyRuntime:
         """Close admission; announce the dead copy's end-of-work."""
         proc = self._procs[cid]
         proc.join()
-        _cid, spec, host, copy_index, *_ = self._by_cid[cid]
+        copy = self._plan[cid]
         reason = (
-            f"worker process {spec.name}@{host}#{copy_index} died with "
-            f"exit code {proc.exitcode}"
+            f"worker process {copy.label} died with exit code {proc.exitcode}"
         )
         with self._lock:
             self._closed = True
@@ -566,7 +534,7 @@ class _CopyRuntime:
         self._discard_controls([cid])
         for pending in inflight:
             slot = pending.cycle % self.nslots
-            for st in spec.outputs:
+            for st in copy.spec.outputs:
                 for sets in self._copysets[st.dst]:
                     # Even for a cycle the copy reported: its own marker
                     # may have died in its feeder thread, and a consumer
@@ -637,7 +605,7 @@ class _CopyRuntime:
                     self._discard(csq, None)
 
     @staticmethod
-    def _discard(csq: _SharedCopySetQueue, ack_queues) -> None:
+    def _discard(csq: _CopySetQueue, ack_queues) -> None:
         while True:
             try:
                 item = csq.queue.get_nowait()
@@ -648,7 +616,7 @@ class _CopyRuntime:
             if not isinstance(item, _WireEnvelope):
                 continue
             if ack_queues is None:
-                BufferCodec.release_encoded(item.encoded)
+                _release(item.payload)
             else:
                 _ack_and_release(item, ack_queues)
 
@@ -731,12 +699,11 @@ def _reclaim_lock(lock) -> None:
 
 
 def _start_ack_drain(ack_queue, writers_by_cycle) -> threading.Thread:
-    """Start the producer-side ack-drain thread.
+    """Start the producer-side ack-drain thread (the process ack transport).
 
-    Applies consumer acknowledgments to the right cycle's writer; acks for
-    a cycle whose writers are gone (recycled slot) are dropped harmlessly.
-    Stops on the FIFO ``_STOP`` sentinel so acks already queued still get
-    delivered (and traced) first.
+    Applies consumer acknowledgments through :func:`_apply_ack`.  Stops on
+    the FIFO ``_STOP`` sentinel so acks already queued still get delivered
+    (and traced) first.
     """
 
     def _ack_loop():
@@ -744,41 +711,44 @@ def _start_ack_drain(ack_queue, writers_by_cycle) -> threading.Thread:
             msg = ack_queue.get()
             if msg == _STOP:
                 break
-            k, stream, target_index, sent_at = msg
-            writer = writers_by_cycle.get(k, {}).get(stream)
-            if writer is not None:
-                writer.deliver_ack(target_index, sent_at)
+            _apply_ack(writers_by_cycle, msg)
 
     thread = threading.Thread(target=_ack_loop, daemon=True)
     thread.start()
     return thread
 
 
-def _worker_main(shared, item) -> None:
+def _release_in_hand_and_die(signum, _frame) -> None:
+    """Worker SIGTERM handler: free unqueued envelopes, then die of it.
+
+    A producer terminated while blocked on a full queue or DD window holds
+    an encoded envelope no consumer will see; its segments would outlive
+    the process.
+    """
+    for encoded in list(_IN_HAND.values()):
+        BufferCodec.release_encoded(encoded)
+    signal.signal(signum, signal.SIG_DFL)
+    os.kill(os.getpid(), signum)
+
+
+def _worker_main(shared, copy: _Copy) -> None:
     """One copy's process: execute cycles as they arrive, until close."""
-    cid, spec, host, copy_index, copies_on_host, total, set_idx = item
-    copysets = shared["copysets"]
-    copyset_hosts = shared["copyset_hosts"]
-    ack_queues = shared["ack_queues"]
-    control = shared["controls"][cid]
+    # Fork copied the parent's in-hand envelopes (a threaded engine with a
+    # codec sending right now); they are not this worker's to free.
+    _IN_HAND.clear()
+    signal.signal(signal.SIGTERM, _release_in_hand_and_die)
+    wiring = shared["wiring"]
+    control = shared["controls"][copy.cid]
     nslots = shared["nslots"]
     t_start = shared["t_start"]
     clock = lambda: time.perf_counter() - t_start  # noqa: E731
-    label = f"{spec.name}@{host}#{copy_index}"
-    signal.signal(signal.SIGTERM, _release_in_hand_and_die)
 
     writers_by_cycle: dict = {}
-    ack_queue = ack_queues[cid]
+    ack_queue = wiring.ack_queues[copy.cid]
     ack_thread = None
     if ack_queue is not None:
         ack_thread = _start_ack_drain(ack_queue, writers_by_cycle)
-
-    try:
-        instance = spec.factory()
-        build_error = None
-    except BaseException as exc:  # noqa: BLE001 - reported per cycle
-        instance = None
-        build_error = f"filter {spec.name!r} failed to build: {exc!r}"
+    instance, build_error = _build_filter(copy.spec)
 
     while True:
         header = control.recv_bytes()
@@ -789,34 +759,20 @@ def _worker_main(shared, item) -> None:
             uow = pickle.loads(control.recv_bytes())
         else:
             uow = shared["uows"][k]
-        slot = k % nslots
         # Worker-local tracer, merged (time-sorted) by the parent.
         # perf_counter is CLOCK_MONOTONIC on Linux, shared by all forked
         # workers, so timestamps are directly comparable.
         tracer = Tracer(limit=trace_limit, clock="wall") if trace else None
         cycle = _execute_cycle(
-            spec=spec,
-            host=host,
-            copy_index=copy_index,
-            copies_on_host=copies_on_host,
-            total=total,
-            cid=cid,
+            copy=copy,
             k=k,
+            slot=k % nslots,
             uow=uow,
             instance=instance,
             build_error=build_error,
-            my_queue=copysets[spec.name][set_idx][slot],
-            out_queues={
-                st.name: [sets[slot] for sets in copysets[st.dst]]
-                for st in spec.outputs
-            },
-            out_hosts={st.name: copyset_hosts[st.dst] for st in spec.outputs},
-            policy_for=shared["policy_for"],
-            codec=shared["codec"],
-            ack_queues=ack_queues,
+            wiring=wiring,
             tracer=tracer,
             clock=clock,
-            label=label,
             writers_by_cycle=writers_by_cycle,
         )
         # Writers older than the slot ring can no longer receive acks
@@ -825,7 +781,7 @@ def _worker_main(shared, item) -> None:
             del writers_by_cycle[old]
         shared["results"].put(
             (
-                cid, k, cycle,
+                copy.cid, k, cycle,
                 tracer.events if tracer else [],
                 tracer.queue_samples if tracer else [],
                 tracer.dropped if tracer else 0,
@@ -969,9 +925,7 @@ class WarmPool(ProcessEngine):
         work is pickled once, here, so an unpicklable one raises before
         anything is queued.
         """
-        if tracer is not None and not tracer.clock:
-            tracer.clock = "wall"
-        emit_analysis_events(tracer, self._analysis_report, 0.0)
+        self._start_wall_trace(tracer)
         return self._runtime.submit(_pickle_uow(uow), tracer)
 
     def run(self) -> RunMetrics:

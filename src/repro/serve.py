@@ -55,6 +55,7 @@ import json
 import math
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -797,6 +798,12 @@ async def _serve(
     loop = asyncio.get_running_loop()
     stop = asyncio.Event()
     inflight = 0  # touched only on the event loop: no lock needed
+    # One render thread per admissible query, so the admission limit is the
+    # real concurrency bound: the loop's default executor may have fewer
+    # workers, and queries admitted past them would queue invisibly.
+    renders = ThreadPoolExecutor(
+        max_workers=max(1, admission_limit), thread_name_prefix="repro-render"
+    )
 
     async def handle(reader, writer):
         try:
@@ -841,7 +848,7 @@ async def _serve(
                         inflight += 1
                         try:
                             response = await loop.run_in_executor(
-                                None, service.render, request
+                                renders, service.render, request
                             )
                         except ReproError as exc:
                             response = {"ok": False, "error": str(exc)}
@@ -861,8 +868,11 @@ async def _serve(
         f"(scenes: {', '.join(sorted(service.scenes))})",
         flush=True,
     )
-    async with server:
-        await stop.wait()
+    try:
+        async with server:
+            await stop.wait()
+    finally:
+        renders.shutdown(wait=True)  # in-flight renders finish first
 
 
 def run_server(

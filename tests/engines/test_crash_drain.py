@@ -22,8 +22,9 @@ import pytest
 from repro.core import DataBuffer, Filter, FilterGraph, Placement
 from repro.core.buffer import BufferCodec
 from repro.engines import ThreadedEngine, WarmPool
+from repro.engines.copy import _IN_HAND, _Writer
 from repro.engines.pool import _JOIN_TIMEOUT_S
-from repro.engines.process import ProcessEngine, _Writer
+from repro.engines.process import ProcessEngine
 from repro.errors import EngineError
 
 pytestmark = pytest.mark.skipif(
@@ -273,6 +274,33 @@ def test_abandoned_send_releases_encoded_payload(shm_ledger):
     arr = np.ones(4096, dtype=np.float64)
     with pytest.raises(RuntimeError, match="routing failed"):
         writer.send(DataBuffer(arr.nbytes, payload=arr))
+    assert not shm_ledger()
+
+
+def test_pool_worker_does_not_free_parent_envelopes(shm_ledger):
+    """A worker forked while the parent holds an encoded envelope (a
+    threaded engine with a codec mid-send) must not free it on SIGTERM."""
+    codec = BufferCodec(shm_threshold=64)
+    arr = np.arange(4096, dtype=np.float64)
+    encoded = codec.encode(DataBuffer(arr.nbytes, payload=arr))
+    _IN_HAND[id(encoded)] = encoded
+    try:
+        g, p = _crash_graph(ArraySumSink, count=2)
+        pool = WarmPool(g, p, policy="DD", codec=codec)
+        try:
+            pool.submit(None).result(timeout=30.0)  # workers are running
+            victim = next(iter(pool._runtime._procs.values()))
+            victim.terminate()
+            victim.join(timeout=30.0)
+        finally:
+            pool.close()
+    finally:
+        _IN_HAND.pop(id(encoded), None)
+    buffer, lease = codec.decode(encoded)
+    try:
+        np.testing.assert_array_equal(buffer.payload, arr)
+    finally:
+        lease.release()
     assert not shm_ledger()
 
 

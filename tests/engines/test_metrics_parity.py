@@ -322,3 +322,37 @@ def test_partial_metrics_on_failed_batch_parity():
         assert t.makespan > 0.0 and p.makespan > 0.0
     # The failed cycle still reports the sink's (empty) pass identically.
     assert threaded.metrics[1].result == process.metrics[1].result == 0
+
+
+def test_failure_labels_and_copy_order_parity():
+    """Both real engines name the failing copy and cycle in every error,
+    and list each cycle's copies in the same (copy-id) order."""
+    from repro.errors import EngineError
+
+    per_engine = {}
+    for name, engine_cls in (
+        ("threaded", ThreadedEngine), ("process", ProcessEngine)
+    ):
+        g = FilterGraph()
+        g.add_filter("src", factory=RealSource, is_source=True)
+        g.add_filter("work", factory=FragileWorker)
+        g.add_filter("sink", factory=ResettingSink)
+        g.connect("src", "work")
+        g.connect("work", "sink")
+        engine = engine_cls(g, shared_placement(), policy="DD")
+        with pytest.raises(EngineError) as exc_info:
+            engine.run_cycles(["a", "bad", "c"])
+        per_engine[name] = exc_info.value
+
+    threaded, process = per_engine["threaded"], per_engine["process"]
+    for exc in (threaded, process):
+        labels = sorted(error.split(":", 1)[0] for error in exc.errors)
+        assert labels == ["work@node0#0 cycle 1", "work@node1#0 cycle 1"]
+    for t, p in zip(threaded.metrics, process.metrics):
+        t_copies = [(c.filter_name, c.host, c.copy_index) for c in t.copies]
+        p_copies = [(c.filter_name, c.host, c.copy_index) for c in p.copies]
+        assert t_copies == p_copies
+        assert t_copies == [
+            ("src", "node0", 0), ("work", "node0", 0), ("work", "node1", 0),
+            ("sink", "node0", 0),
+        ]

@@ -8,6 +8,7 @@ TCP exactly like ``examples/serve_client.py``.
 import base64
 import json
 import multiprocessing
+import os
 import socket
 import threading
 
@@ -167,6 +168,49 @@ def test_admission_control_rejects_at_limit():
         assert response["ok"] is False
         assert response["rejected"] is True
         assert "admission limit" in response["error"]
+    finally:
+        _request(port, {"cmd": "shutdown"})
+        thread.join(timeout=30.0)
+
+
+class _BarrierService:
+    """Stub service: every render waits until ``parties`` renders run."""
+
+    scenes = {"stub": None}
+
+    def __init__(self, parties):
+        self.barrier = threading.Barrier(parties, timeout=10.0)
+
+    def render(self, request):
+        try:
+            self.barrier.wait()
+        except threading.BrokenBarrierError:
+            return {"ok": False, "error": "renders did not run concurrently"}
+        return {"ok": True}
+
+    def close(self):
+        pass
+
+
+def test_admission_limit_is_the_render_concurrency():
+    """Every admitted query renders at once, even beyond the loop's default
+    executor (min(32, cpus + 4) workers)."""
+    limit = (os.cpu_count() or 1) + 6
+    thread, port = _start_server(_BarrierService(limit), admission_limit=limit)
+    responses = [None] * limit
+
+    def client(i):
+        responses[i] = _request(port, {"cmd": "query"}, timeout=30.0)
+
+    try:
+        clients = [
+            threading.Thread(target=client, args=(i,)) for i in range(limit)
+        ]
+        for c in clients:
+            c.start()
+        for c in clients:
+            c.join(timeout=60.0)
+        assert responses == [{"ok": True}] * limit
     finally:
         _request(port, {"cmd": "shutdown"})
         thread.join(timeout=30.0)
