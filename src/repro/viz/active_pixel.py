@@ -1,13 +1,11 @@
 """Active pixel rendering: the sparse z-buffer scheme (paper Section 3.1.2).
 
-Two structures implement hidden-surface removal:
-
-- the **Winning Pixel Array (WPA)** stores the foremost pixels seen so far —
-  screen position, depth, and colour per entry; WPA contents are shipped to
-  the Merge filter in fixed-size buffers;
-- the **Modified Scanline Array (MSA)** indexes the WPA by screen position
-  so a new fragment can find (and depth-test against) the current winning
-  entry for its pixel.
+The **Winning Pixel Array (WPA)** stores the foremost pixels seen so far —
+screen position, depth, and colour per entry; WPA contents are shipped to
+the Merge filter in fixed-size buffers.  In the paper a **Modified Scanline
+Array (MSA)** indexes the WPA by screen position, so each new fragment can
+find and depth-test against its pixel's current entry, triangle by
+triangle.
 
 As in the paper, the WPA is emitted *when full or when all triangles of the
 current input buffer have been processed*, so rasterisation and merging
@@ -15,10 +13,21 @@ pipeline freely — no end-of-work synchronisation.  Because the WPA restarts
 after each emission, a pixel can appear in several emitted buffers; the
 Merge filter's depth test resolves those duplicates.
 
-Our MSA generalises the per-scanline array to the whole screen (one index
-slot per pixel) with generation stamps, so clearing between emissions is
-O(1).  The data structure semantics — sparse winning-pixel storage with an
-index — are the paper's.
+We build the WPA of a whole input buffer at once instead of one triangle at
+a time.  The fragments, in triangle order, are stable-sorted by pixel; each
+pixel's run then decides its entry:
+
+- entries keep the order in which their pixels first appear;
+- the depth is ``float32(min depth of the run)``;
+- the colour is that of the *last* fragment whose depth beats the float32
+  of the minimum of the fragments before it (the first always wins).
+
+This is exactly what the per-triangle MSA loop keeps.  There a fragment
+wins when its depth is below the stored float32 depth, and the stored depth
+is always the float32 of the running minimum (rounding is monotone, so a
+win that does not lower the minimum rewrites the same float32 value).
+The running minimum per run is computed exactly on depth ranks, and no
+per-screen index array is needed.
 """
 
 from __future__ import annotations
@@ -75,16 +84,6 @@ class ActivePixelRaster:
         self.width = width
         self.height = height
         self.capacity = capacity_entries
-        npix = width * height
-        self._msa = np.zeros(npix, dtype=np.int64)  # WPA index per pixel
-        self._msa_gen = np.full(npix, -1, dtype=np.int64)
-        self._gen = 0
-        # Open WPA storage (grows geometrically).
-        self._cap = max(1024, capacity_entries)
-        self._pix = np.empty(self._cap, dtype=np.int64)
-        self._depth = np.empty(self._cap, dtype=np.float32)
-        self._color = np.empty((self._cap, 3), dtype=np.uint8)
-        self._count = 0
         self.fragments_tested = 0
 
     def process(self, triangles: np.ndarray, colors: np.ndarray) -> list[WPABuffer]:
@@ -95,78 +94,44 @@ class ActivePixelRaster:
         when this method returns.
         """
         triangles = np.asarray(triangles)
-        if triangles.size and len(colors) != len(triangles):
+        if not triangles.size:
+            return []
+        if len(colors) != len(triangles):
             raise ConfigurationError("one colour per triangle required")
-        if triangles.size:
-            # Fragments come from the batched kernel (identical values and
-            # order to the per-triangle reference); WPA insertion stays per
-            # triangle because entry order and colour assignment depend on
-            # the triangle sequence.
-            pixels, depth, counts = rasterize_triangles(
-                triangles, self.width, self.height
-            )
-            self.fragments_tested += pixels.size
-            bounds = np.cumsum(counts)[:-1]
-            for pix, dep, rgb in zip(
-                np.split(pixels, bounds), np.split(depth, bounds), colors
-            ):
-                if pix.size:
-                    self._add(pix, dep, rgb)
-        return self._emit()
-
-    # -- internals -----------------------------------------------------------
-    def _add(self, pixels: np.ndarray, depth: np.ndarray, rgb: np.ndarray) -> None:
-        """Depth-test fragments of one triangle against the open WPA."""
-        valid = self._msa_gen[pixels] == self._gen
-        if valid.any():
-            vpix = pixels[valid]
-            vdep = depth[valid]
-            idx = self._msa[vpix]
-            wins = vdep < self._depth[idx]
-            if wins.any():
-                widx = idx[wins]
-                self._depth[widx] = vdep[wins]
-                self._color[widx] = rgb
-        new = ~valid
-        if new.any():
-            npx = pixels[new]
-            ndp = depth[new]
-            n = npx.size
-            self._ensure(self._count + n)
-            sl = slice(self._count, self._count + n)
-            self._pix[sl] = npx
-            self._depth[sl] = ndp.astype(np.float32)
-            self._color[sl] = rgb
-            self._msa[npx] = np.arange(self._count, self._count + n)
-            self._msa_gen[npx] = self._gen
-            self._count += n
-
-    def _ensure(self, needed: int) -> None:
-        if needed <= self._cap:
-            return
-        while self._cap < needed:
-            self._cap *= 2
-        self._pix = np.resize(self._pix, self._cap)
-        self._depth = np.resize(self._depth, self._cap)
-        color = np.empty((self._cap, 3), dtype=np.uint8)
-        color[: len(self._color)] = self._color
-        self._color = color
-
-    def _emit(self) -> list[WPABuffer]:
-        """Slice the open WPA into capacity-sized buffers and restart it."""
-        out: list[WPABuffer] = []
-        for start in range(0, self._count, self.capacity):
-            stop = min(start + self.capacity, self._count)
-            out.append(
-                WPABuffer(
-                    self._pix[start:stop].copy(),
-                    self._depth[start:stop].copy(),
-                    self._color[start:stop].copy(),
-                )
-            )
-        self._count = 0
-        self._gen += 1
-        return out
+        pixels, depth, counts = rasterize_triangles(triangles, self.width, self.height)
+        self.fragments_tested += pixels.size
+        if not pixels.size:
+            return []
+        # Group each pixel's fragments, keeping triangle order within a group.
+        order = np.argsort(pixels, kind="stable")
+        sorted_pix, d = pixels[order], depth[order]
+        n = d.size
+        first = np.r_[True, sorted_pix[1:] != sorted_pix[:-1]]
+        starts = np.flatnonzero(first)
+        # Exact segmented prefix minimum: depth ranks, lifted by a per-group
+        # offset that decreases along the array (at most n * n), so one
+        # running minimum never carries across a group boundary.
+        rank = np.empty(n, dtype=np.int64)
+        by_depth = np.argsort(d, kind="stable")
+        rank[by_depth] = np.arange(n)
+        lift = (starts.size - np.cumsum(first)) * n
+        prefix = d[by_depth[np.minimum.accumulate(rank + lift) - lift]]
+        # A fragment wins against the float32 store of the earlier minimum;
+        # the first fragment of each pixel always enters the WPA.
+        wins = first.copy()
+        wins[1:] |= d[1:] < prefix[:-1].astype(np.float32)
+        last = np.maximum.reduceat(np.where(wins, np.arange(n), 0), starts)
+        # Entries in order of each pixel's first appearance.
+        entry = np.argsort(order[starts])
+        pix = sorted_pix[starts][entry]
+        dep = np.minimum.reduceat(d, starts).astype(np.float32)[entry]
+        tri = np.repeat(np.arange(len(counts)), counts)
+        color = np.asarray(colors)[tri[order[last]][entry]].astype(np.uint8, copy=False)
+        return [
+            WPABuffer(pix[i : i + self.capacity], dep[i : i + self.capacity],
+                      color[i : i + self.capacity])
+            for i in range(0, pix.size, self.capacity)
+        ]
 
 
 class ActivePixelMerger:

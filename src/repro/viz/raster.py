@@ -138,22 +138,25 @@ def rasterize_triangles(
     z64 = zs.astype(np.float64)
     x0f, y0f = x0.astype(np.float64), y0.astype(np.float64)
 
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i in np.nonzero(alive)[0]:
-        groups.setdefault((int(y1[i] - y0[i] + 1), int(x1[i] - x0[i] + 1)), []).append(
-            int(i)
-        )
+    # Group live triangles by bounding-box shape with one sort on a shape
+    # key (box width <= width, so the key is unique per shape); members
+    # stay in ascending triangle order.
+    live = np.flatnonzero(alive)
+    shape = (y1 - y0 + 1)[live] * (width + 1) + (x1 - x0 + 1)[live]
+    by_shape = np.argsort(shape, kind="stable")
+    live, shape = live[by_shape], shape[by_shape]
+    bounds = np.flatnonzero(np.r_[True, shape[1:] != shape[:-1], True])
 
     frag_tri: list[np.ndarray] = []
     frag_pix: list[np.ndarray] = []
     frag_dep: list[np.ndarray] = []
-    for (bh, bw), members in groups.items():
-        cells = bh * bw
-        step = max(1, max_cells // cells)
+    for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        bh, bw = divmod(int(shape[start]), width + 1)
+        step = max(1, max_cells // (bh * bw))
         offx = (np.arange(bw, dtype=np.float64) + 0.5)[None, None, :]
         offy = (np.arange(bh, dtype=np.float64) + 0.5)[None, :, None]
-        for lo in range(0, len(members), step):
-            m = np.array(members[lo : lo + step], dtype=np.int64)
+        for lo in range(start, stop, step):
+            m = live[lo : min(lo + step, stop)]
             # Pixel-centre grids: integer x0 plus exact half-integers —
             # bit-equal to the reference's arange(x0, x1 + 1) + 0.5.
             dx = (x0f[m][:, None, None] + offx) - x2_64[m][:, None, None]

@@ -1,7 +1,11 @@
 """Tests for fragment generation, the z-buffer, and active-pixel rendering."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.viz.active_pixel import (
@@ -204,10 +208,6 @@ def test_merger_counts():
     assert merger.entries_merged == 55
 
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-
 @given(seed=st.integers(min_value=0, max_value=10_000),
        batch=st.integers(min_value=1, max_value=13),
        capacity=st.integers(min_value=3, max_value=200))
@@ -230,3 +230,102 @@ def test_property_ap_equals_zbuffer(seed, batch, capacity):
         for buf in ap.process(tris[i : i + batch], colors[i : i + batch]):
             merger.merge(buf)
     np.testing.assert_array_equal(merger.image(), zb.image())
+
+
+def reference_wpa(width, height, capacity, tris, colors):
+    """The paper's per-triangle WPA insertion through an MSA index.
+
+    Each fragment looks up its pixel's open WPA entry: a new pixel appends
+    an entry (float32 depth); a known one overwrites depth and colour when
+    its float64 depth is below the stored float32 depth.  The open WPA is
+    then cut into capacity-sized buffers.  Returns (buffers, fragments).
+    """
+    msa: dict[int, int] = {}
+    pix, dep, col = [], [], []
+    fragments = 0
+    for tri, rgb in zip(tris, colors):
+        pixels, depth = triangle_fragments(tri, width, height)
+        fragments += pixels.size
+        for p, z in zip(pixels.tolist(), depth.tolist()):
+            i = msa.get(p)
+            if i is None:
+                msa[p] = len(pix)
+                pix.append(p)
+                dep.append(np.float32(z))
+                col.append(rgb)
+            elif z < float(dep[i]):
+                dep[i] = np.float32(z)
+                col[i] = rgb
+    buffers = [
+        (
+            np.array(pix[i : i + capacity], dtype=np.int64),
+            np.array(dep[i : i + capacity], dtype=np.float32),
+            np.array(col[i : i + capacity], dtype=np.uint8).reshape(-1, 3),
+        )
+        for i in range(0, len(pix), capacity)
+    ]
+    return buffers, fragments
+
+
+def _soup(rng, n, size, dtype, near_ties):
+    tris = rng.uniform(-2, size + 2, size=(n, 3, 3))
+    tris[:, :, 2] = rng.uniform(0.5, 3.0, size=(n, 3))
+    if near_ties:
+        # Copies of a few triangles whose depths differ by less than one
+        # float32 ulp (about 1.2e-7 at depth 1), or tie exactly.
+        tris[:, :, :2] = tris[rng.integers(0, 3, size=n) % n, :, :2]
+        tris[:, :, 2] = 1.0 + rng.integers(-3, 4, size=(n, 1)) * 1e-8
+    colors = rng.integers(0, 256, size=(n, 3), dtype=np.uint8)
+    return tris.astype(dtype), colors
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    capacity=st.integers(min_value=1, max_value=50),
+    near_ties=st.booleans(),
+    calls=st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_property_ap_emission_equals_per_triangle_msa(
+    seed, dtype, capacity, near_ties, calls
+):
+    """Emitted WPA buffers equal the per-triangle MSA loop's exactly:
+    entries, order, depths, colours, dtypes and buffer boundaries — over
+    repeated ``process`` calls on one instance (the WPA restarts on each)."""
+    rng = np.random.default_rng(seed)
+    size = 12
+    ap = ActivePixelRaster(size, size, capacity_entries=capacity)
+    fragments = 0
+    for _ in range(calls):
+        tris, colors = _soup(rng, int(rng.integers(0, 30)), size, dtype, near_ties)
+        expected, n_frag = reference_wpa(size, size, capacity, tris, colors)
+        fragments += n_frag
+        got = ap.process(tris, colors)
+        assert len(got) == len(expected)
+        for buf, (pix, dep, col) in zip(got, expected):
+            assert buf.pixels.dtype == np.int64
+            assert buf.depth.dtype == np.float32
+            assert buf.color.dtype == np.uint8
+            np.testing.assert_array_equal(buf.pixels, pix)
+            np.testing.assert_array_equal(buf.depth, dep)
+            np.testing.assert_array_equal(buf.color, col)
+        assert ap.fragments_tested == fragments
+
+
+def test_active_pixel_memory_is_bounded_by_fragments():
+    # A small soup on a 4096x4096 screen: the raster's memory follows the
+    # fragments, not the screen (a per-pixel index would be 16 B x 16.8M).
+    rng = np.random.default_rng(4)
+    tris = rng.uniform(0, 64, size=(50, 3, 3))
+    tris[:, :, 2] = rng.uniform(1, 5, size=(50, 3))
+    colors = rng.integers(0, 256, size=(50, 3), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        ap = ActivePixelRaster(4096, 4096)
+        bufs = ap.process(tris, colors)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(b.entries for b in bufs) > 500
+    assert peak < 4 * 1024 * 1024

@@ -37,8 +37,8 @@ def reference_fragments(tris):
     )
 
 
-def assert_matches_reference(tris):
-    pix_b, dep_b, counts_b = rasterize_triangles(tris, WIDTH, HEIGHT)
+def assert_matches_reference(tris, **kwargs):
+    pix_b, dep_b, counts_b = rasterize_triangles(tris, WIDTH, HEIGHT, **kwargs)
     pix_r, dep_r, counts_r = reference_fragments(tris)
     np.testing.assert_array_equal(counts_b, counts_r)
     np.testing.assert_array_equal(pix_b, pix_r)
@@ -134,6 +134,34 @@ def test_chunked_groups_match_single_pass():
     b = rasterize_triangles(tris, WIDTH, HEIGHT, max_cells=1 << 20)
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x, y)
+
+
+@pytest.mark.parametrize("max_cells", [1 << 20, 7])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_large_soup_of_tiny_triangles(dtype, max_cells):
+    # Explore-scale soup: 6000 one- or two-pixel triangles in three
+    # bounding-box shapes, shuffled so each shape's members are scattered
+    # through the soup, some clipped at the viewport edges.  Exercises the
+    # shape grouping's boundaries and (with a small max_cells) the chunking
+    # of each group.
+    rng = np.random.default_rng(8)
+    shapes = np.array(
+        [
+            [[0.3, 0.3, 0.0], [1.7, 0.4, 0.0], [0.4, 1.2, 0.0]],
+            [[0.2, 0.6, 0.0], [2.6, 0.4, 0.0], [1.1, 0.9, 0.0]],
+            [[0.5, 0.1, 0.0], [0.9, 2.7, 0.0], [0.3, 1.6, 0.0]],
+        ]
+    )
+    n = 6000
+    tris = shapes[rng.integers(0, len(shapes), size=n)].copy()
+    tris[:, :, 0] += rng.integers(-2, WIDTH + 1, size=(n, 1))
+    tris[:, :, 1] += rng.integers(-2, HEIGHT + 1, size=(n, 1))
+    tris[:, :, 2] = rng.uniform(0.5, 5.0, size=(n, 3))
+    tris = tris.astype(dtype)
+    _, _, counts = rasterize_triangles(tris, WIDTH, HEIGHT)
+    assert set(np.unique(counts).tolist()) <= {0, 1, 2}
+    assert counts.sum() > n
+    assert_matches_reference(tris, max_cells=max_cells)
 
 
 def test_zbuffer_image_matches_sequential_loop():
